@@ -116,18 +116,10 @@ double TensorCore::load_weights(
     flat.insert(flat.end(), row.begin(), row.end());
   }
   const double latency = psram_.write_matrix(flat);
-  if (psram_.endurance_enabled()) {
-    // Worn cells may have refused bit toggles; from here on everything —
-    // ring biases, the digital reference, and the fast-path memo key —
-    // must see what the array actually *stores*, not what was requested.
-    for (std::size_t row = 0; row < config_.rows; ++row) {
-      for (std::size_t col = 0; col < config_.cols; ++col) {
-        flat[row * config_.cols + col] = psram_.word(row, col);
-      }
-    }
-  }
 
-  // The stored bits drive the multiply rings tile by tile.
+  // The stored bits drive the multiply rings tile by tile.  Worn cells may
+  // have refused bit toggles, so the rings (like the digital reference) are
+  // programmed from what the array actually *stores*, not the request.
   const std::size_t m = config_.macro.channels;
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
@@ -138,16 +130,16 @@ double TensorCore::load_weights(
       macros_[row][tile].load_weights(tile_weights);
     }
   }
-  loaded_words_ = flat;
+  weights_resident_ = true;
   if (config_.fast_path) {
-    calibrate_fast_path(flat);
+    calibrate_fast_path();
   } else {
     fast_.valid = false;
   }
   return latency;
 }
 
-void TensorCore::calibrate_fast_path(const std::vector<std::uint32_t>& words) {
+void TensorCore::calibrate_fast_path() {
   // Constants of the per-sample walk, computed exactly as the physics path
   // computes them (same functions, same inputs -> same doubles).
   fast_.comb_power = config_.macro.comb_power_per_line;
@@ -158,64 +150,19 @@ void TensorCore::calibrate_fast_path(const std::vector<std::uint32_t>& words) {
   fast_.tap_factor = units::db_to_ratio(-config_.macro.splitter_excess_db) * 0.5;
   fast_.responsivity = config_.macro.photodiode.responsivity;
 
-  // The chain transmissions are a pure function of (loaded weight words,
-  // thermal detuning), and a serving fleet reloads the same few blocks on
-  // the same core every dispatch — recall the memoized calibration when
-  // both match.  Under drift the detuning key misses and the walk re-runs:
-  // the modeled cost of serving on a drifting device.
-  for (std::size_t i = 0; i < calibrations_.size(); ++i) {
-    if (calibrations_[i].detuning == detuning_ &&
-        calibrations_[i].words == words) {
-      fast_.chain = calibrations_[i].chain;
-      if (i != 0) std::rotate(calibrations_.begin(),
-                              calibrations_.begin() + i,
-                              calibrations_.begin() + i + 1);
-      fast_.valid = true;
-      return;
+  // Ring-chain transmissions, assembled from each macro's drive-state
+  // table: ring physics runs only for (ring, state) pairs not yet seen at
+  // this detuning and fault set.
+  const std::size_t macro_gains = config_.weight_bits * config_.macro.channels;
+  fast_.chain.resize(config_.rows * macros_per_row() * macro_gains);
+  double* gains = fast_.chain.data();
+  for (auto& row : macros_) {
+    for (VectorComputeMacro& macro : row) {
+      macro.table_chain_transmissions(gains);
+      gains += macro_gains;
     }
   }
-
-  // Ring-chain transmissions: the expensive spectral product (every ring of
-  // a bit row evaluated at every channel wavelength — the crosstalk walk)
-  // only changes when the multiply rings are re-biased or detuned, i.e.
-  // here or in set_thermal_detuning.
-  fast_.chain = build_chain();
-  calibrations_.insert(calibrations_.begin(),
-                       CalibrationEntry{words, detuning_, fast_.chain});
   fast_.valid = true;
-  // Enough slots for every block of a resident model shard plus headroom.
-  // Evict drifted (nonzero-detuning) entries first: a wandering detuning
-  // key almost never recurs, while the detuning-0 entries are exactly what
-  // every post-re-lock reload hits again.
-  constexpr std::size_t kMaxCalibrations = 64;
-  if (calibrations_.size() > kMaxCalibrations) {
-    for (auto it = calibrations_.rbegin(); it != calibrations_.rend(); ++it) {
-      if (it->detuning != 0.0) {
-        calibrations_.erase(std::next(it).base());
-        return;
-      }
-    }
-    calibrations_.pop_back();
-  }
-}
-
-std::shared_ptr<const std::vector<double>> TensorCore::build_chain() const {
-  const std::size_t bits = config_.weight_bits;
-  const std::size_t m = config_.macro.channels;
-  const std::size_t tiles = macros_per_row();
-  auto chain =
-      std::make_shared<std::vector<double>>(config_.rows * tiles * bits * m);
-  std::size_t idx = 0;
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      for (std::size_t bit = 0; bit < bits; ++bit) {
-        for (std::size_t ch = 0; ch < m; ++ch) {
-          (*chain)[idx++] = macros_[row][tile].chain_transmission(bit, ch);
-        }
-      }
-    }
-  }
-  return chain;
 }
 
 void TensorCore::set_thermal_detuning(double delta_kelvin) {
@@ -223,6 +170,7 @@ void TensorCore::set_thermal_detuning(double delta_kelvin) {
   // whatever value it had when the fault hit, and recalibrate() cannot
   // re-lock the core until the fault is cleared.
   if (heater_stuck_) return;
+  const bool moved = delta_kelvin != detuning_;
   detuning_ = delta_kelvin;
   for (auto& row : macros_) {
     for (auto& macro : row) {
@@ -235,15 +183,24 @@ void TensorCore::set_thermal_detuning(double delta_kelvin) {
     macro.set_temperature_offset(delta_kelvin);
   }
   // Refresh the armed fast path at the new operating point so it stays
-  // bit-identical to the physics walk (same chain function, same state).
-  if (fast_.valid) {
-    calibrate_fast_path(loaded_words_);
-  }
+  // bit-identical to the physics walk (same ring factors, same order).  An
+  // unchanged detuning (a re-lock of a locked core) leaves the gains exact.
+  if (fast_.valid && moved) calibrate_fast_path();
 }
 
 void TensorCore::recalibrate() {
   set_thermal_detuning(0.0);
   ++calibration_epoch_;
+}
+
+std::uint64_t TensorCore::calibration_ring_evals() const {
+  std::uint64_t evals = 0;
+  for (const auto& row : macros_) {
+    for (const VectorComputeMacro& macro : row) {
+      evals += macro.table_ring_evals();
+    }
+  }
+  return evals;
 }
 
 double TensorCore::probe_transmission() const {
@@ -329,7 +286,7 @@ void TensorCore::analog_row_values(const double* input, double* out) {
   // within a macro, macro tiles along the row — the same nesting the
   // spectral walk uses, so the accumulation is bit-identical.
   for (std::size_t row = 0; row < config_.rows; ++row) {
-    const double* gains = fast_.chain->data() + row * tiles * bits * m;
+    const double* gains = fast_.chain.data() + row * tiles * bits * m;
     double current = 0.0;
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       double power_on_pds = 0.0;
@@ -467,20 +424,13 @@ EoAdc& TensorCore::adc(std::size_t row) {
   return adcs_[row];
 }
 
-void TensorCore::refresh_fast_path() {
-  calibrations_.clear();
-  if (config_.fast_path && !loaded_words_.empty()) {
-    calibrate_fast_path(loaded_words_);
-  }
-}
-
 void TensorCore::inject_ring_fault(std::size_t row, std::size_t col,
                                    unsigned bit, RingFaultKind kind) {
   expects(row < config_.rows && col < config_.cols,
           "ring coordinates out of range");
   const std::size_t m = config_.macro.channels;
   macros_[row][col / m].set_ring_fault(bit, col % m, kind);
-  refresh_fast_path();
+  if (fast_.valid) calibrate_fast_path();
 }
 
 void TensorCore::inject_ring_faults(const std::vector<RingFaultSite>& sites) {
@@ -491,7 +441,7 @@ void TensorCore::inject_ring_faults(const std::vector<RingFaultSite>& sites) {
     macros_[site.row][site.col / m].set_ring_fault(site.bit, site.col % m,
                                                    site.kind);
   }
-  refresh_fast_path();
+  if (fast_.valid) calibrate_fast_path();
 }
 
 void TensorCore::inject_stuck_heater() { heater_stuck_ = true; }
@@ -528,13 +478,13 @@ void TensorCore::clear_faults() {
   }
   std::fill(adc_dead_.begin(), adc_dead_.end(), 0);
   heater_stuck_ = false;
-  refresh_fast_path();
+  if (fast_.valid) calibrate_fast_path();
 }
 
 TensorCore::SelfTestResult TensorCore::self_test(std::size_t samples,
                                                  std::uint64_t seed) {
   expects(samples >= 1, "self-test needs at least one probe vector");
-  if (loaded_words_.empty()) {
+  if (!weights_resident_) {
     // Nothing resident: program a checkerboard BIST pattern so the probes
     // exercise every ring row in both bit polarities.
     std::vector<std::vector<std::uint32_t>> pattern(

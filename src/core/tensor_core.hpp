@@ -2,7 +2,6 @@
 #define PTC_CORE_TENSOR_CORE_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "circuit/energy.hpp"
@@ -113,9 +112,10 @@ class TensorCore {
   /// Ambient thermal detuning from the calibrated operating point [K]:
   /// every multiply ring is detuned through its own (variation-spread)
   /// thermo-optic sensitivity, and the cached fast-path gains are refreshed
-  /// through the spectral walk at the new operating point — the fast path
-  /// stays bit-identical to the physics walk at every detuning.  Costs one
-  /// weight-load-grade calibration walk when the fast path is armed.
+  /// from the rings at the new operating point — the fast path stays
+  /// bit-identical to the physics walk at every detuning.  A new nonzero
+  /// detuning re-evaluates the programmed (ring, drive state) pairs once;
+  /// returning to 0 reuses the lock-point table and costs no ring physics.
   void set_thermal_detuning(double delta_kelvin);
   double thermal_detuning() const { return detuning_; }
 
@@ -124,6 +124,12 @@ class TensorCore {
   /// a new calibration epoch.  The modeled downtime of the fleet-level
   /// recalibration is billed by runtime::Accelerator::recalibrate().
   void recalibrate();
+
+  /// Ring transmission evaluations spent filling the compute macros'
+  /// drive-state tables — the fast path's whole calibration cost.  Exact
+  /// and host-independent: each (ring, drive state) costs one evaluation
+  /// per channel wavelength, once per detuning slot and fault set.
+  std::uint64_t calibration_ring_evals() const;
 
   /// Number of recalibrations performed (epoch 0 = as-constructed).
   std::size_t calibration_epoch() const { return calibration_epoch_; }
@@ -173,9 +179,9 @@ class TensorCore {
   // --- hard-fault injection (core/fault.hpp) --------------------------------
   /// Latches one multiply ring's drive line.  (row, col) address the weight
   /// matrix entry, bit the weight-bit row (0 = MSB).  The fault is applied
-  /// at the ring-bias level and the fast path is recalibrated through the
-  /// same spectral walk, so fast path and physics oracle stay bit-identical
-  /// under the fault.
+  /// at the ring-bias level and the faulted macro's drive-state table is
+  /// dropped and refilled from the re-biased rings, so fast path and
+  /// physics oracle stay bit-identical under the fault.
   void inject_ring_fault(std::size_t row, std::size_t col, unsigned bit,
                          RingFaultKind kind);
   void inject_ring_faults(const std::vector<RingFaultSite>& sites);
@@ -269,36 +275,16 @@ class TensorCore {
     double encoder_floor = 0.0;  ///< finite-extinction leakage floor
     double tap_factor = 0.0;     ///< per-splitter-stage factor (0.5 * excess)
     double responsivity = 0.0;   ///< photodiode responsivity [A/W]
-    /// Ring-chain transmissions, [row][tile][bit_row][channel] flattened.
-    /// Shared with the calibration memo — treat as immutable.
-    std::shared_ptr<const std::vector<double>> chain;
+    /// Ring-chain transmissions, [row][tile][bit_row][channel] flattened;
+    /// refilled in place from the macros' drive-state tables at every
+    /// weight load, detuning change and fault-set change.
+    std::vector<double> chain;
   };
 
-  /// One memoized calibration: the integer weight words that were loaded,
-  /// the thermal detuning they were calibrated at, and the chain
-  /// transmissions they produce.  Serving steady-state reloads the same few
-  /// blocks on the same core every dispatch, so the spectral calibration
-  /// walk runs once per distinct (block, detuning), not per pass — under
-  /// active drift the detuning key misses and every reload pays the walk,
-  /// which is exactly the modeled cost of serving through drift.
-  struct CalibrationEntry {
-    std::vector<std::uint32_t> words;
-    double detuning = 0.0;
-    std::shared_ptr<const std::vector<double>> chain;
-  };
-
-  /// Rebuilds (or recalls) the cached gains for the loaded weight words.
-  void calibrate_fast_path(const std::vector<std::uint32_t>& words);
-
-  /// Drops the calibration memo and re-freezes the fast path after a fault
-  /// set change (the memo keys on (words, detuning) only, so entries built
-  /// under a different fault set would be stale).
-  void refresh_fast_path();
-
-  /// The expensive spectral product over the currently-programmed rings at
-  /// the current detuning (every ring of a bit row evaluated at every
-  /// channel wavelength — the crosstalk walk).
-  std::shared_ptr<const std::vector<double>> build_chain() const;
+  /// Re-freezes the cached gains for the programmed rings at the current
+  /// detuning.  Ring physics runs only for the (ring, drive state) pairs
+  /// the macros' tables have not yet seen at this detuning and fault set.
+  void calibrate_fast_path();
 
   /// Normalized analog row values for one sample: fast replay when armed,
   /// full spectral walk otherwise.  `input` has cols() entries; `out` has
@@ -327,11 +313,7 @@ class TensorCore {
   circuit::EnergyLedger ledger_;
   std::size_t samples_ = 0;
   FastGains fast_;
-  std::vector<CalibrationEntry> calibrations_;  ///< MRU-first memo
-  /// Words the pSRAM actually *stores* after the last load (worn cells may
-  /// refuse bits, so this can differ from the requested payload) — the
-  /// quantity the rings are programmed from and the memo keys on.
-  std::vector<std::uint32_t> loaded_words_;
+  bool weights_resident_ = false;  ///< a weight block has been loaded
   /// Per-row dead ADC ladders; empty-equivalent (all zero) when healthy.
   std::vector<std::uint8_t> adc_dead_;
   bool heater_stuck_ = false;

@@ -1,5 +1,6 @@
 #include "core/vector_macro.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/expects.hpp"
@@ -44,6 +45,9 @@ VectorComputeMacro::VectorComputeMacro(const VectorMacroConfig& config)
     }
   }
   weights_.assign(config.channels, 0);
+  for (std::size_t ch = 0; ch < config.channels; ++ch) {
+    wavelengths_.push_back(channel_wavelength(ch));
+  }
 
   // Calibrate the full-scale photocurrent: all inputs at 1, all weights max.
   load_weights(std::vector<std::uint32_t>(config.channels, max_weight()));
@@ -111,6 +115,7 @@ void VectorComputeMacro::set_ring_fault(unsigned bit_row, std::size_t channel,
   }
   slot = static_cast<std::uint8_t>(kind);
   apply_weight_biases();
+  drop_transmission_table();
 }
 
 void VectorComputeMacro::clear_ring_faults() {
@@ -118,6 +123,11 @@ void VectorComputeMacro::clear_ring_faults() {
   ring_faults_.clear();
   ring_fault_count_ = 0;
   apply_weight_biases();
+  drop_transmission_table();
+}
+
+void VectorComputeMacro::drop_transmission_table() {
+  for (TransmissionTable& table : tables_) table.filled.clear();
 }
 
 void VectorComputeMacro::set_temperature_offset(double delta_kelvin) {
@@ -139,6 +149,36 @@ double VectorComputeMacro::chain_transmission(std::size_t bit_row,
     transmission *= ring.thru_transmission(lambda);
   }
   return transmission;
+}
+
+void VectorComputeMacro::table_chain_transmissions(double* out) {
+  const std::size_t m = config_.channels;
+  TransmissionTable& table = tables_[temperature_offset_ == 0.0 ? 0 : 1];
+  if (table.filled.empty() || table.detuning != temperature_offset_) {
+    table.detuning = temperature_offset_;
+    table.filled.assign(config_.weight_bits * m * 2, 0);
+    table.transmission.resize(table.filled.size() * m);
+  }
+  for (unsigned row = 0; row < config_.weight_bits; ++row) {
+    const unsigned bit_index = config_.weight_bits - 1 - row;
+    double* chain = out + row * m;
+    std::fill(chain, chain + m, 1.0);
+    for (std::size_t k = 0; k < m; ++k) {
+      // The ring sits at the bias of its current state, so a miss fills
+      // that state's factors straight from the live device.
+      const std::size_t state = (weights_[k] >> bit_index) & 1u;
+      const std::size_t entry = (row * m + k) * 2 + state;
+      double* t = table.transmission.data() + entry * m;
+      if (table.filled[entry] == 0) {
+        for (std::size_t ch = 0; ch < m; ++ch) {
+          t[ch] = rings_[row][k].thru_transmission(wavelengths_[ch]);
+        }
+        table.filled[entry] = 1;
+        table_ring_evals_ += m;
+      }
+      for (std::size_t ch = 0; ch < m; ++ch) chain[ch] *= t[ch];
+    }
+  }
 }
 
 double VectorComputeMacro::compute_current(const std::vector<double>& inputs,

@@ -91,6 +91,16 @@ class VectorComputeMacro {
   /// chain, given current weights — exposes crosstalk for tests/benches.
   double chain_transmission(std::size_t bit_row, std::size_t channel) const;
 
+  /// Every chain_transmission(bit_row, channel) at the current weights,
+  /// written [bit_row][channel] into `out` (weight_bits() * channels()
+  /// values).  Each ring's factors come from the drive-state table and are
+  /// multiplied in chain_transmission's ring order from 1.0, so the result
+  /// is bit-identical to it; only table misses evaluate ring physics.
+  void table_chain_transmissions(double* out);
+
+  /// Ring transmission evaluations spent filling the drive-state table.
+  std::uint64_t table_ring_evals() const { return table_ring_evals_; }
+
   // --- hard faults -----------------------------------------------------------
   /// Latches one multiply ring's drive line: from now on the ring ignores
   /// its weight bit (and drive-level offset) and sits at the stuck bias.
@@ -112,6 +122,24 @@ class VectorComputeMacro {
   double compute_current(const std::vector<double>& inputs,
                          std::vector<double>* per_bit) const;
   void apply_weight_biases();
+  void drop_transmission_table();
+
+  /// Drive-state transmission table: a multiply ring only ever sits in one
+  /// of two drive states (its weight bit; a fault-pinned ring in one), so
+  /// its thru transmission at each channel wavelength is a function of
+  /// (state, detuning, fault set) alone.  One slot per detuning value.
+  struct TransmissionTable {
+    double detuning = 0.0;
+    /// [bit_row][ring][state]: 1 once that ring state's factors are filled.
+    std::vector<std::uint8_t> filled;
+    /// [bit_row][ring][state][channel] thru transmissions.
+    std::vector<double> transmission;
+  };
+  /// tables_[0] holds detuning 0 (the lock point every re-lock returns to,
+  /// so it survives drift epochs); tables_[1] the current nonzero detuning,
+  /// refilled when that value changes.  Both drop when the fault set does.
+  TransmissionTable tables_[2];
+  std::uint64_t table_ring_evals_ = 0;
 
   VectorMacroConfig config_;
   optics::IntensityEncoder encoder_;
@@ -122,6 +150,7 @@ class VectorComputeMacro {
   /// rings_; empty when variation is disabled.
   std::vector<std::vector<double>> bias_offsets_;
   std::vector<std::uint32_t> weights_;
+  std::vector<double> wavelengths_;  ///< channel_wavelength(ch) per channel
   /// Per-ring stuck-at states, [bit_row][channel] flattened; empty until
   /// the first fault is injected (the common, healthy case stays free).
   std::vector<std::uint8_t> ring_faults_;

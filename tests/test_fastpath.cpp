@@ -2,13 +2,18 @@
 // the tensor core at weight-load time (cached ring-chain gains, canonical
 // summation order) and must be BIT-identical to the physics path — pinned
 // here for every encoding, readout mode, fleet size, and model lowering the
-// matmul pipeline supports, plus the weight-plan cache contract the graph
-// executor and serving layer lean on.
+// matmul pipeline supports and under arbitrary interleavings of loads,
+// drift and faults, plus the exact ring-evaluation cost of calibration and
+// the weight-plan cache contract the graph executor and serving layer lean
+// on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random_matrix.hpp"
@@ -105,11 +110,155 @@ TEST(FastPath, RecalibratesWhenWeightsChange) {
   EXPECT_EQ(y2.max_abs_diff(physics.multiply_analog_batch(x)), 0.0);
   EXPECT_GT(y2.max_abs_diff(y1), 0.0);  // the gains really changed
 
-  // Reloading w1 recalls the memoized calibration — still bit-identical.
+  // Reloading w1 assembles its gains from the drive-state table without
+  // new ring physics — still bit-identical.
   fast.load_weights_normalized(w1);
   physics.load_weights_normalized(w1);
   EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(y1), 0.0);
   EXPECT_EQ(physics.multiply_analog_batch(x).max_abs_diff(y1), 0.0);
+}
+
+TEST(FastPath, BitIdenticalUnderInterleavedLoadsDriftAndFaults) {
+  // Seeded random interleavings reach every invalidation edge of the
+  // macros' drive-state tables: fresh and repeated blocks, repeated
+  // detunings, returns to exactly 0, re-locks, faults injected while
+  // detuned, a stuck heater, clears, and reloads of blocks last seen under
+  // a different fault set.  Even seeds use a varied die, so every ring's
+  // transmission (and drift response) is distinct.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    core::TensorCoreConfig fast_config = core_config(true);
+    core::TensorCoreConfig physics_config = core_config(false);
+    if (seed % 2 == 0) {
+      fast_config.variation.seed = seed;
+      physics_config.variation.seed = seed;
+    }
+    core::TensorCore fast(fast_config);
+    core::TensorCore physics(physics_config);
+    Rng rng(seed * 7919);
+    const Matrix x = random_activations(4, 16, rng);
+    std::vector<Matrix> seen;
+    const auto load = [&](const Matrix& w) {
+      fast.load_weights_normalized(w);
+      physics.load_weights_normalized(w);
+    };
+    const auto reload_seen = [&] { load(seen[rng.below(seen.size())]); };
+    const auto detune = [&](double kelvin) {
+      fast.set_thermal_detuning(kelvin);
+      physics.set_thermal_detuning(kelvin);
+    };
+    seen.push_back(random_activations(16, 16, rng));
+    load(seen.back());
+
+    for (int step = 0; step < 50; ++step) {
+      std::string what;
+      switch (rng.below(8)) {
+        case 0:
+          what = "fresh block";
+          seen.push_back(random_activations(16, 16, rng));
+          load(seen.back());
+          break;
+        case 1:
+          what = "seen block";
+          reload_seen();
+          break;
+        case 2:
+          what = "repeated detuning";
+          detune(fast.thermal_detuning());
+          break;
+        case 3:
+          what = "detuning back to 0";
+          detune(0.0);
+          break;
+        case 4:
+          what = "new detuning";
+          detune(rng.uniform(-0.5, 0.5));
+          if (rng.bernoulli(0.5)) {
+            what += " + recalibrate";
+            fast.recalibrate();
+            physics.recalibrate();
+          }
+          break;
+        case 5: {
+          what = "ring faults while detuned";
+          if (fast.thermal_detuning() == 0.0) detune(rng.uniform(0.1, 0.5));
+          const auto sites = core::FaultModel::sample_ring_faults(
+              16, 16, 3, 1 + rng.below(6), rng.next_u64());
+          fast.inject_ring_faults(sites);
+          physics.inject_ring_faults(sites);
+          if (rng.bernoulli(0.5)) {
+            what += " + seen block";
+            reload_seen();
+          }
+          break;
+        }
+        case 6:
+          what = "stuck heater";
+          fast.inject_stuck_heater();
+          physics.inject_stuck_heater();
+          break;
+        default:
+          what = "clear faults";
+          fast.clear_faults();
+          physics.clear_faults();
+          if (rng.bernoulli(0.5)) {
+            what += " + seen block";
+            reload_seen();
+          }
+          break;
+      }
+      ASSERT_EQ(fast.multiply_analog_batch(x).max_abs_diff(
+                    physics.multiply_analog_batch(x)),
+                0.0)
+          << "seed " << seed << " step " << step << ": " << what;
+      ASSERT_EQ(fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)),
+                0.0)
+          << "seed " << seed << " step " << step << ": " << what;
+    }
+  }
+}
+
+TEST(FastPath, CalibrationRingEvalsAreExact) {
+  // Walking every ring of a bit row at every channel wavelength costs
+  // 16 rows x 4 tiles x 3 bits x 4 channels x 4 rings = 3,072 ring
+  // evaluations per load.  The drive-state table pays each (ring, state)
+  // pair once per detuning slot and fault set instead: 50 distinct blocks
+  // cost at most 16 x 4 x 3 x 4 rings x 2 states x 4 channels = 6,144
+  // evaluations, not 50 x 3,072 = 153,600.
+  core::TensorCore core(core_config(true));
+  EXPECT_EQ(core.calibration_ring_evals(), 0u);
+  Rng rng(21);
+  std::vector<Matrix> blocks;
+  for (int i = 0; i < 50; ++i) {
+    blocks.push_back(random_activations(16, 16, rng));
+  }
+  core.load_weights_normalized(blocks[0]);
+  EXPECT_EQ(core.calibration_ring_evals(), 3072u);
+  for (const Matrix& w : blocks) core.load_weights_normalized(w);
+  EXPECT_EQ(core.calibration_ring_evals(), 6144u);
+
+  // A drift epoch evaluates the programmed states once at the new
+  // detuning; repeating that detuning evaluates nothing.
+  core.set_thermal_detuning(0.4);
+  core.set_thermal_detuning(0.4);
+  EXPECT_EQ(core.calibration_ring_evals(), 6144u + 3072u);
+  // The re-lock and a reload of an earlier block read the detuning-0 slot.
+  core.recalibrate();
+  core.load_weights_normalized(blocks[7]);
+  EXPECT_EQ(core.calibration_ring_evals(), 6144u + 3072u);
+
+  // A fault-set change drops the faulted macros' tables; each refills its
+  // programmed states: 3 bit rows x 4 rings x 4 channels = 48 evaluations.
+  const auto sites = core::FaultModel::sample_ring_faults(16, 16, 3, 5, 9);
+  std::set<std::pair<std::size_t, std::size_t>> faulted_macros;
+  for (const auto& site : sites) faulted_macros.emplace(site.row, site.col / 4);
+  core.inject_ring_faults(sites);
+  EXPECT_EQ(core.calibration_ring_evals(),
+            6144u + 3072u + 48u * faulted_macros.size());
+
+  // The physics oracle never fills a table.
+  core::TensorCore physics(core_config(false));
+  physics.load_weights_normalized(blocks[0]);
+  EXPECT_EQ(physics.calibration_ring_evals(), 0u);
 }
 
 /// Backend-level identity across encodings and readout modes, including

@@ -175,7 +175,7 @@ TEST(Variation, ReloadUnderDetuningRefreshesTheCalibration) {
   core.load_weights(test_weights());
   core.set_thermal_detuning(0.3);
   // A weight reload while detuned must calibrate against the detuned
-  // physics, not recall the detuning-0 memo entry.
+  // physics, not read the detuning-0 slot of the drive-state table.
   core.load_weights(test_weights());
   oracle.load_weights(test_weights());
   oracle.set_thermal_detuning(0.3);
